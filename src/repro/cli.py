@@ -35,14 +35,13 @@ from repro.core.engine import run_job
 from repro.datasets.io import read_edge_list
 from repro.datasets.registry import DATASETS, dataset_names, get_dataset
 
-__all__ = ["main", "build_parser", "parse_fault_plan"]
+__all__ = ["main", "build_parser", "parse_fault_plan", "FaultSpecError"]
 
 ALGORITHMS = ("pagerank", "sssp", "lpa", "sa", "wcc", "phased-bfs")
 
 #: CLI aliases for the fault kinds (``--fault-plan``).
 _FAULT_KIND_ALIASES = {
     "crash": "crash",
-    "kill": "kill",
     "straggler": "straggler",
     "ckpt-write": "checkpoint_write",
     "ckpt-corrupt": "checkpoint_corrupt",
@@ -56,13 +55,19 @@ _FAULT_SPEC = re.compile(
 )
 
 
+class FaultSpecError(argparse.ArgumentTypeError, ValueError):
+    """A malformed ``--fault-plan``: argparse prints its message, and
+    library callers can catch it as a :class:`ValueError`."""
+
+
 def parse_fault_plan(spec: str) -> tuple:
     """Parse ``--fault-plan``: comma-separated ``kind@superstep`` entries.
 
     Each entry is ``kind@superstep[:wWORKER][xFACTOR][*REPEAT]`` with
-    kind one of ``crash``, ``kill``, ``straggler``, ``ckpt-write``,
-    ``ckpt-corrupt``; e.g. ``crash@3:w1,straggler@2:w0x4,kill@5*2``.
+    kind one of ``crash``, ``straggler``, ``ckpt-write``,
+    ``ckpt-corrupt``; e.g. ``crash@3:w1*2,straggler@2:w0x4,ckpt-corrupt@5``.
     Worker defaults to 0, factor to 4.0 (stragglers), repeat to 1.
+    A malformed spec raises :class:`FaultSpecError`.
     """
     plans = []
     for entry in spec.split(","):
@@ -71,13 +76,13 @@ def parse_fault_plan(spec: str) -> tuple:
             continue
         match = _FAULT_SPEC.match(entry)
         if match is None:
-            raise argparse.ArgumentTypeError(
+            raise FaultSpecError(
                 f"bad fault spec {entry!r}; expected "
                 f"kind@superstep[:wWORKER][xFACTOR][*REPEAT]"
             )
         kind = _FAULT_KIND_ALIASES.get(match.group("kind"))
         if kind is None:
-            raise argparse.ArgumentTypeError(
+            raise FaultSpecError(
                 f"unknown fault kind {match.group('kind')!r}; expected "
                 f"one of {sorted(_FAULT_KIND_ALIASES)}"
             )
@@ -90,9 +95,9 @@ def parse_fault_plan(spec: str) -> tuple:
                 repeat=int(match.group("repeat") or 1),
             ))
         except ValueError as exc:
-            raise argparse.ArgumentTypeError(str(exc))
+            raise FaultSpecError(str(exc))
     if not plans:
-        raise argparse.ArgumentTypeError("empty fault plan")
+        raise FaultSpecError("empty fault plan")
     return tuple(plans)
 
 
@@ -127,9 +132,6 @@ def build_parser() -> argparse.ArgumentParser:
                         choices=("batched", "reference", "vectorized"),
                         default="batched",
                         help="superstep executor tier (all byte-identical)")
-    parser.add_argument("--parallelism", type=int, default=1, metavar="N",
-                        help="OS processes running each superstep's "
-                             "per-worker phases (default 1 = in-process)")
     parser.add_argument("--in-memory", action="store_true",
                         help="sufficient-memory scenario (no disk charges)")
     parser.add_argument("--trace", action="store_true",
@@ -151,7 +153,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="SPEC",
         help="inject planned faults: comma-separated "
              "kind@superstep[:wWORKER][xFACTOR][*REPEAT]; kinds: "
-             "crash, kill, straggler, ckpt-write, ckpt-corrupt "
+             "crash, straggler, ckpt-write, ckpt-corrupt "
              "(e.g. 'crash@3:w1,straggler@2:w0x4')")
     resilience.add_argument(
         "--chaos-probability", type=float, default=0.0, metavar="P",
@@ -235,7 +237,6 @@ def main(argv: Optional[list] = None) -> int:
         cluster=AMAZON_CLUSTER if args.cluster == "amazon" else LOCAL_CLUSTER,
         max_supersteps=args.supersteps,
         executor=args.executor,
-        parallelism=args.parallelism,
         trace=trace,
         fault=fault,
         checkpoint_interval=args.checkpoint_interval,
@@ -252,16 +253,12 @@ def main(argv: Optional[list] = None) -> int:
           f"|E|={graph.num_edges:,}")
     print(f"program    : {program.name}   mode: {metrics.mode}   "
           f"workers: {workers}   cluster: {config.cluster.name}")
-    rt = result.runtime
-    if config.executor != "batched" or config.parallelism > 1:
-        print(f"executor   : {rt.active_executor}   "
-              f"parallelism: {rt.active_parallelism}")
+    if config.executor != "batched":
+        print(f"executor   : {result.runtime.active_executor}")
     if metrics.fallback is not None:
         fb = metrics.fallback
-        print(f"fallback   : requested {fb['requested_executor']}"
-              f"/p={fb['requested_parallelism']}, running "
-              f"{fb['active_executor']}/p={fb['active_parallelism']} "
-              f"({fb['reason']})")
+        print(f"fallback   : requested {fb['requested_executor']}, "
+              f"running {fb['active_executor']} ({fb['reason']})")
     print(f"supersteps : {metrics.num_supersteps}")
     print(f"runtime    : {fmt_seconds(metrics.runtime_seconds)} "
           f"(load {fmt_seconds(metrics.load.elapsed_seconds)})")

@@ -4,7 +4,7 @@ HybridGraph's baseline fault-tolerance policy is to recompute the job
 from scratch when a worker fails.  The engine's master loop plays the
 Fault Detector: a :class:`FaultInjector` evaluates the configured
 :class:`~repro.core.config.FaultSchedule` at the top of every superstep
-and reports the faults that fire — worker crashes and kills abort the
+and reports the faults that fire — worker crashes abort the
 superstep with :class:`WorkerFailure`; stragglers and checkpoint faults
 degrade the run without aborting it.
 
@@ -14,8 +14,7 @@ Chaos faults draw from a :class:`random.Random` seeded with the
 schedule's ``chaos_seed`` and held privately by the injector — the
 engine calls :meth:`FaultInjector.fire` exactly once per superstep
 attempt, in the same order for every executor tier, so a seeded chaos
-run injects the identical fault sequence under batched, vectorized,
-and any parallelism.
+run injects the identical fault sequence under every executor tier.
 """
 
 from __future__ import annotations
@@ -127,13 +126,13 @@ class FaultInjector:
         return fired
 
     def check(self, superstep: int) -> None:
-        """Historical API: raise on the first crash-class fault firing.
+        """Historical API: raise on the first crash fault firing.
 
         Kept for callers that only care about abort-style faults; the
         engine uses :meth:`fire` and dispatches every kind itself.
         """
         for fault in self.fire(superstep):
-            if fault.kind in ("crash", "kill"):
+            if fault.kind == "crash":
                 raise WorkerFailure(
                     fault.worker, superstep, kind=fault.kind
                 )

@@ -86,9 +86,6 @@ AMAZON_CLUSTER = ClusterProfile(
 #:
 #: * ``"crash"`` — the worker raises at the superstep barrier
 #:   (HybridGraph's baseline failure model, Appendix A);
-#: * ``"kill"`` — like crash, but under ``parallelism > 1`` the engine
-#:   SIGKILLs the child process owning the worker first, so recovery is
-#:   exercised against genuine OS-level death;
 #: * ``"straggler"`` — the worker's modeled seconds for that superstep
 #:   are inflated by ``factor`` (no restart; stretches the barrier);
 #: * ``"checkpoint_write"`` — the next snapshot attempt fails after
@@ -98,7 +95,6 @@ AMAZON_CLUSTER = ClusterProfile(
 #:   previous valid one, or to scratch.
 FAULT_KINDS = (
     "crash",
-    "kill",
     "straggler",
     "checkpoint_write",
     "checkpoint_corrupt",
@@ -271,18 +267,6 @@ class JobConfig:
     #: produce byte-identical :class:`JobMetrics` — the equivalence
     #: tests run every job through all of them.
     executor: str = "batched"
-    #: number of OS processes executing each superstep's per-worker
-    #: halves concurrently (:mod:`repro.core.modes.parallel`).
-    #: Orthogonal to ``executor``: both the batched and vectorized tiers
-    #: can run their per-worker phases across a persistent process pool;
-    #: the coordinator folds the per-process shards in fixed worker-id
-    #: order, so metrics stay byte-identical to ``parallelism=1``.
-    #: Values above ``num_workers`` are clamped; job shapes without a
-    #: parallel path (reference executor, pull/pushm, asynchronous
-    #: iteration, platforms without ``fork``/``shared_memory``) fall
-    #: back to in-process execution with the reason recorded in
-    #: ``Runtime.executor_fallback``.
-    parallelism: int = 1
     #: snapshot the iteration state every N supersteps and recover from
     #: the latest snapshot instead of recomputing from scratch — the
     #: lightweight fault tolerance the paper leaves as future work
@@ -307,11 +291,6 @@ class JobConfig:
     #: this directory (implies durable checkpointing into it unless
     #: ``checkpoint_dir`` points elsewhere).
     resume_from: Optional[str] = None
-    #: real (wall-clock) seconds the coordinator waits on a pool child's
-    #: pipe before declaring it hung and re-forking the pool
-    #: (:mod:`repro.core.modes.parallel`).  Purely operational — never
-    #: part of the modeled experiment.
-    pool_round_timeout_seconds: float = 300.0
     #: observability (``repro.obs``): ``None``/``False`` — tracing off
     #: (the job shares the zero-overhead null tracer); ``True`` — record
     #: to an in-memory ring buffer, readable via ``JobResult.trace``; a
@@ -342,10 +321,13 @@ class JobConfig:
                 f"unknown executor {self.executor!r}; expected "
                 "'batched', 'reference', or 'vectorized'"
             )
-        if not isinstance(self.parallelism, int) or self.parallelism < 1:
+        if (
+            self.message_buffer_per_worker is not None
+            and self.message_buffer_per_worker < 1
+        ):
             raise ValueError(
-                f"parallelism must be an integer >= 1, got "
-                f"{self.parallelism!r}"
+                f"message_buffer_per_worker must be >= 1 (or None for "
+                f"unlimited), got {self.message_buffer_per_worker!r}"
             )
         if self.fault is not None and not isinstance(
             self.fault, (FaultPlan, FaultSchedule)
@@ -368,11 +350,6 @@ class JobConfig:
             raise ValueError(
                 f"checkpoint_keep must be an integer >= 1, got "
                 f"{self.checkpoint_keep!r}"
-            )
-        if not self.pool_round_timeout_seconds > 0:
-            raise ValueError(
-                f"pool_round_timeout_seconds must be > 0, got "
-                f"{self.pool_round_timeout_seconds!r}"
             )
 
     # Convenience -------------------------------------------------------

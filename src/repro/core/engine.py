@@ -32,10 +32,6 @@ from repro.core.config import JobConfig
 from repro.core.graph import Graph
 from repro.core.metrics import JobMetrics
 from repro.core.modes.common import run_superstep
-from repro.core.modes.parallel import (
-    kill_pool_worker,
-    run_superstep_parallel,
-)
 from repro.core.modes.pull import run_pull_superstep
 from repro.core.modes.reference import run_superstep_reference
 from repro.core.modes.vectorized import run_superstep_vectorized
@@ -111,8 +107,6 @@ def run_job(
         metrics.fallback = {
             "requested_executor": config.executor,
             "active_executor": rt.active_executor,
-            "requested_parallelism": config.parallelism,
-            "active_parallelism": rt.active_parallelism,
             "reason": rt.executor_fallback,
         }
 
@@ -175,109 +169,97 @@ def run_job(
                           "skipped": list(snapshot.skipped)},
                 )
 
-    try:
-        while True:
-            try:
-                _iterate(rt, controller, metrics, injector, start_superstep,
-                         prev_mode, ckpt_log, store)
-                break
-            except WorkerFailure as failure:
-                # the pool's processes hold pre-failure state; drop them
-                # before rewinding — the next parallel superstep re-forks
-                # from the restored coordinator.
-                rt.shutdown_pool()
-                restarts += 1
-                if restarts > config.max_restarts:
-                    raise
+    while True:
+        try:
+            _iterate(rt, controller, metrics, injector, start_superstep,
+                     prev_mode, ckpt_log, store)
+            break
+        except WorkerFailure as failure:
+            restarts += 1
+            if restarts > config.max_restarts:
+                raise
+            if tracer.enabled:
+                tracer.instant(
+                    "fault", cat=CAT_ENGINE, superstep=failure.superstep,
+                    worker=failure.worker,
+                    args={"restarts": restarts, "kind": failure.kind},
+                )
+            # pick the newest valid snapshot: the durable store when
+            # one is configured (real CRC validation, corrupt files
+            # skipped), else the in-memory log.  A checkpoint_corrupt
+            # fault invalidates both views of the same snapshot, so
+            # the two sources always agree on the fallback.  The
+            # durable search is owned-only and bounded by the failed
+            # superstep: stale files a previous run left in the
+            # directory can neither leap recovery forward past the
+            # failure nor shadow this run's own snapshots.
+            checkpoint = None
+            if store is not None:
+                durable = store.load_latest(
+                    max_superstep=failure.superstep - 1,
+                    owned_only=True,
+                )
+                if durable is not None:
+                    checkpoint = durable.checkpoint
+            else:
+                checkpoint = ckpt_log.best()
+            resume_after = checkpoint.superstep if checkpoint else 0
+            downtime = config.restart_backoff_seconds * (2 ** (restarts - 1))
+            metrics.recoveries.append({
+                "restart": restarts,
+                "superstep": failure.superstep,
+                "worker": failure.worker,
+                "kind": failure.kind,
+                "policy": "checkpoint" if checkpoint else "scratch",
+                "resume_after": resume_after,
+                "rework_supersteps": len(metrics.supersteps) - resume_after,
+                "rework_seconds": sum(
+                    s.elapsed_seconds
+                    for s in metrics.supersteps[resume_after:]
+                ),
+                "downtime_seconds": downtime,
+            })
+            tracer.advance(downtime)
+            if checkpoint is not None:
+                # lightweight recovery: resume after the snapshot
+                controller = restore_checkpoint(rt, checkpoint)
+                _rewind_metrics(metrics, checkpoint.superstep)
+                start_superstep = checkpoint.superstep
+                prev_mode = checkpoint.prev_mode
+                metrics.recovered_from = checkpoint.superstep
                 if tracer.enabled:
                     tracer.instant(
-                        "fault", cat=CAT_ENGINE, superstep=failure.superstep,
-                        worker=failure.worker,
-                        args={"restarts": restarts, "kind": failure.kind},
+                        "restart", cat=CAT_ENGINE,
+                        superstep=checkpoint.superstep,
+                        args={"policy": "checkpoint",
+                              "resume_after": checkpoint.superstep,
+                              "restart": restarts,
+                              "downtime_seconds": downtime,
+                              "rework_seconds":
+                                  metrics.recoveries[-1]["rework_seconds"]},
                     )
-                # pick the newest valid snapshot: the durable store when
-                # one is configured (real CRC validation, corrupt files
-                # skipped), else the in-memory log.  A checkpoint_corrupt
-                # fault invalidates both views of the same snapshot, so
-                # the two sources always agree on the fallback.  The
-                # durable search is owned-only and bounded by the failed
-                # superstep: stale files a previous run left in the
-                # directory can neither leap recovery forward past the
-                # failure nor shadow this run's own snapshots.
-                checkpoint = None
-                if store is not None:
-                    durable = store.load_latest(
-                        max_superstep=failure.superstep - 1,
-                        owned_only=True,
+            else:
+                # the paper's policy: recompute from scratch
+                rt.reset_for_restart()
+                _reset_metrics(metrics)
+                start_superstep = 0
+                prev_mode = None
+                if tracer.enabled:
+                    tracer.instant(
+                        "restart", cat=CAT_ENGINE,
+                        args={"policy": "scratch",
+                              "restart": restarts,
+                              "downtime_seconds": downtime,
+                              "rework_seconds":
+                                  metrics.recoveries[-1]["rework_seconds"]},
                     )
-                    if durable is not None:
-                        checkpoint = durable.checkpoint
-                else:
-                    checkpoint = ckpt_log.best()
-                resume_after = checkpoint.superstep if checkpoint else 0
-                downtime = (
-                    config.restart_backoff_seconds * (2 ** (restarts - 1))
-                )
-                metrics.recoveries.append({
-                    "restart": restarts,
-                    "superstep": failure.superstep,
-                    "worker": failure.worker,
-                    "kind": failure.kind,
-                    "policy": "checkpoint" if checkpoint else "scratch",
-                    "resume_after": resume_after,
-                    "rework_supersteps":
-                        len(metrics.supersteps) - resume_after,
-                    "rework_seconds": sum(
-                        s.elapsed_seconds
-                        for s in metrics.supersteps[resume_after:]
-                    ),
-                    "downtime_seconds": downtime,
-                })
-                tracer.advance(downtime)
-                if checkpoint is not None:
-                    # lightweight recovery: resume after the snapshot
-                    controller = restore_checkpoint(rt, checkpoint)
-                    _rewind_metrics(metrics, checkpoint.superstep)
-                    start_superstep = checkpoint.superstep
-                    prev_mode = checkpoint.prev_mode
-                    metrics.recovered_from = checkpoint.superstep
-                    if tracer.enabled:
-                        tracer.instant(
-                            "restart", cat=CAT_ENGINE,
-                            superstep=checkpoint.superstep,
-                            args={"policy": "checkpoint",
-                                  "resume_after": checkpoint.superstep,
-                                  "restart": restarts,
-                                  "downtime_seconds": downtime,
-                                  "rework_seconds":
-                                      metrics.recoveries[-1]
-                                      ["rework_seconds"]},
-                        )
-                else:
-                    # the paper's policy: recompute from scratch
-                    rt.reset_for_restart()
-                    _reset_metrics(metrics)
-                    start_superstep = 0
-                    prev_mode = None
-                    if tracer.enabled:
-                        tracer.instant(
-                            "restart", cat=CAT_ENGINE,
-                            args={"policy": "scratch",
-                                  "restart": restarts,
-                                  "downtime_seconds": downtime,
-                                  "rework_seconds":
-                                      metrics.recoveries[-1]
-                                      ["rework_seconds"]},
-                        )
-                    if config.mode == "hybrid":
-                        controller = HybridController(
-                            rt,
-                            enabled=config.switching_enabled,
-                            interval=config.switching_interval,
-                            deadband=config.switching_deadband,
-                        )
-    finally:
-        rt.shutdown_pool()
+                if config.mode == "hybrid":
+                    controller = HybridController(
+                        rt,
+                        enabled=config.switching_enabled,
+                        interval=config.switching_interval,
+                        deadband=config.switching_deadband,
+                    )
     metrics.restarts = restarts
     if isinstance(controller, HybridController):
         metrics.q_trace = [q for _t, q in controller.q_trace]
@@ -328,10 +310,10 @@ def _inject_faults(
 
     Returns ``(straggler_factors, checkpoint_write_fails)``; checkpoint
     corruption is applied to ``ckpt_log``/``store`` immediately, and
-    crash-class faults abort the attempt by raising
+    crash faults abort the attempt by raising
     :class:`WorkerFailure` *after* every fault fired this superstep is
     recorded and applied — so e.g. a checkpoint corruption scheduled
-    together with a kill lands before the restart and forces recovery
+    together with a crash lands before the restart and forces recovery
     back to the previous valid snapshot.
     """
     fired = injector.fire(superstep)
@@ -384,15 +366,11 @@ def _inject_faults(
                     superstep=superstep,
                     args={"snapshot_superstep": corrupted},
                 )
-        elif crash is None:  # crash | kill: first one wins
+        elif crash is None:  # crash: first one wins
             crash = fault
     if crash is not None:
-        # the crash-class "fault" instant is emitted by run_job's
-        # recovery handler (it carries the restart counter).
-        if crash.kind == "kill" and rt.active_parallelism > 1:
-            # genuine OS-level death of the child owning the worker;
-            # raises WorkerFailure once the child is gone.
-            kill_pool_worker(rt, crash.worker, superstep)
+        # the crash "fault" instant is emitted by run_job's recovery
+        # handler (it carries the restart counter).
         raise WorkerFailure(crash.worker, superstep, kind=crash.kind)
     return stragglers, ckpt_write_fails
 
@@ -447,10 +425,6 @@ def _iterate(
         ckpt_log = CheckpointLog(keep_last=config.checkpoint_keep)
     if config.executor == "reference":
         superstep_fn = run_superstep_reference
-    elif rt.active_parallelism > 1:
-        # branches on rt.active_executor internally: both the batched
-        # and vectorized tiers run their per-worker phases on the pool.
-        superstep_fn = run_superstep_parallel
     elif rt.active_executor == "vectorized":
         # active_executor, not config.executor: the runtime may have
         # downgraded a vectorized request to batched (see Runtime).

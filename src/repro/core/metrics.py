@@ -137,9 +137,8 @@ class JobMetrics:
     #: supersteps actually executed, including work discarded by
     #: failures — compare with num_supersteps to see recovery waste.
     executed_supersteps: int = 0
-    #: set only when the runtime downgraded the requested executor tier
-    #: or parallelism: ``{"requested_executor", "active_executor",
-    #: "requested_parallelism", "active_parallelism", "reason"}``.  None
+    #: set only when the runtime downgraded the requested executor tier:
+    #: ``{"requested_executor", "active_executor", "reason"}``.  None
     #: on a non-degraded run — and then absent from :meth:`to_dict`, so
     #: runs that differ only in the *requested* tier stay byte-identical
     #: (the cross-executor equivalence contract).

@@ -231,20 +231,15 @@ def phase2_for_worker(
     fanout,
     flows: List[List[Any]],
     aggregates: Dict[str, float] = None,
-    agg_stream: List[Tuple[str, float]] = None,
 ):
     """Run ``update()`` (+``pushRes()`` staging) for one worker's targets.
 
-    This is the per-worker half of Phase 2, shared verbatim between the
-    sequential executor loop and the process-pool shards of
-    :mod:`repro.core.modes.parallel`.  It mutates only worker-owned
-    state — ``rt.values`` of owned vertices, the ``rt.resp_next``
-    *bytes* (the count is the caller's), the worker's disk/adjacency,
-    and the staged *flows* buckets.  Cross-worker folds stay with the
-    caller: aggregator contributions either fold inline into
-    *aggregates* (sequential) or append to *agg_stream* in emission
-    order so the coordinator can replay the identical left fold
-    (parallel shards).
+    This is the per-worker half of Phase 2.  It mutates only
+    worker-owned state — ``rt.values`` of owned vertices, the
+    ``rt.resp_next`` *bytes* (the count is the caller's), the worker's
+    disk/adjacency, and the staged *flows* buckets — plus the
+    aggregator totals, which it folds inline into *aggregates* in
+    worker-then-vertex order.
 
     Returns ``(targets, n_respond, raw_staged, edges_scanned,
     edge_bytes)``.
@@ -296,13 +291,8 @@ def phase2_for_worker(
             n_respond += 1
         contribution = aggregate(vid, old_value, new_value, ctx)
         if contribution:
-            if agg_stream is None:
-                for agg_key, agg_val in contribution.items():
-                    aggregates[agg_key] = (
-                        aggregates.get(agg_key, 0.0) + agg_val
-                    )
-            else:
-                agg_stream.extend(contribution.items())
+            for agg_key, agg_val in contribution.items():
+                aggregates[agg_key] = aggregates.get(agg_key, 0.0) + agg_val
         if pushing and respond:
             if read_out_edges is None:
                 raise RuntimeError(
@@ -635,15 +625,12 @@ def collect_triple(
 ):
     """Pull-Respond for one (requested Vblock, responder) pair.
 
-    The per-triple half of :func:`bpull_gather`, shared verbatim with
-    the process-pool shards of :mod:`repro.core.modes.parallel`: scans
-    the responder's matching Eblocks (charging its disk), builds the
-    per-destination send buffer, and sizes the transfer.  *combine* is
-    the program's combiner or None for concatenation-only programs;
-    *payload_of* memoizes uniform payloads per source vertex across the
-    whole gather (each source belongs to exactly one responder, so
-    per-responder shards see the same memo hits the sequential loop
-    does).
+    The per-triple half of :func:`bpull_gather`: scans the responder's
+    matching Eblocks (charging its disk), builds the per-destination
+    send buffer, and sizes the transfer.  *combine* is the program's
+    combiner or None for concatenation-only programs; *payload_of*
+    memoizes uniform payloads per source vertex across the whole
+    gather.
 
     Returns None when the responder contributes nothing, else
     ``(buffer, nvalues, ngroups, nbytes, units)`` where *buffer* maps

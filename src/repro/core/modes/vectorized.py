@@ -454,7 +454,7 @@ def _fold(dsts, payloads, size, combine, identity, dtype):
 
 
 # ----------------------------------------------------------------------
-# per-worker halves (shared with the parallel runtime)
+# per-worker halves
 # ----------------------------------------------------------------------
 def compute_worker_update(
     rt,
@@ -469,17 +469,16 @@ def compute_worker_update(
     """Phase 2 for one worker: dense update + push staging.
 
     Touches only *worker*-owned state — its slice of ``state.values``,
-    its disk, its vertices' bytes of *resp_view* — which is what lets
-    :mod:`repro.core.modes.parallel` run one call per process.  The
-    inputs ``received_local``/``acc_local`` are the worker's slices of
-    the global fold (``received[local]``/``acc_global[local]``; gathers
-    of a gather are bitwise identical to gathering ``targets``
-    directly).  The returned shard carries everything the caller must
-    fold into shared metrics (:func:`apply_update_shard`) plus the
-    staged per-destination message arrays.  Aggregator contributions
-    are shipped as per-vertex streams, never child-local partial sums:
-    the caller replays the sequential carry fold so the float grouping
-    matches the scalar executors.
+    its disk, its vertices' bytes of *resp_view*.  The inputs
+    ``received_local``/``acc_local`` are the worker's slices of the
+    global fold (``received[local]``/``acc_global[local]``; gathers of
+    a gather are bitwise identical to gathering ``targets`` directly).
+    The returned shard carries everything the caller must fold into
+    shared metrics (:func:`apply_update_shard`) plus the staged
+    per-destination message arrays.  Aggregator contributions are
+    returned as per-vertex streams, never partial sums: the caller
+    replays the sequential carry fold so the float grouping matches
+    the scalar executors.
     """
     program = rt.program
     rules = state.rules
@@ -640,8 +639,7 @@ def apply_update_shard(
     """Fold one worker's update shard into shared metrics.
 
     Every field here is either an order-independent integer sum or the
-    aggregator carry fold, which the caller invokes in worker-id order
-    (sequential loop or the parallel merge phase alike).
+    aggregator carry fold, which the caller invokes in worker-id order.
     """
     updates_of[wid] = shard["num_targets"]
     contrib = shard["contrib"]

@@ -170,40 +170,7 @@ class Runtime:
             if reason is not None:
                 self.active_executor = "batched"
                 self.executor_fallback = reason
-        #: processes actually driving supersteps.  ``parallelism > 1``
-        #: downgrades to 1 (in-process) for job shapes without a
-        #: parallel path; like the executor downgrade, the reason lands
-        #: in ``executor_fallback``.  Values above ``num_workers`` are
-        #: clamped silently (extra processes would idle).
-        self.active_parallelism: int = 1
-        self._pool: Any = None
-        if config.parallelism > 1:
-            from repro.core.modes.parallel import parallel_fallback_reason
-
-            reason = parallel_fallback_reason(self)
-            if reason is None:
-                self.active_parallelism = min(
-                    config.parallelism, config.num_workers
-                )
-            elif self.executor_fallback is None:
-                self.executor_fallback = reason
-            else:
-                self.executor_fallback = (
-                    f"{self.executor_fallback}; {reason}"
-                )
         self._init_state()
-
-    def shutdown_pool(self) -> None:
-        """Tear down the parallel worker pool, if one is running.
-
-        Called by the engine on job completion and before every
-        recovery rewind (the pool's processes hold pre-failure state;
-        the next parallel superstep re-forks from the restored
-        coordinator).  No-op when no pool is active.
-        """
-        if self._pool is not None:
-            pool, self._pool = self._pool, None
-            pool.close()
 
     @property
     def push_fanout(self) -> Optional[List[tuple]]:

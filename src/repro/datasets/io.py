@@ -33,19 +33,26 @@ def read_edge_list(
     """Read a text edge list.
 
     ``num_vertices`` may be omitted, in which case it is inferred as
-    ``max id + 1``.
+    ``max id + 1``.  A malformed row raises :class:`ValueError` naming
+    ``path:line``.
     """
     path = Path(path)
     edges = []
     max_id = -1
     with path.open("r", encoding="ascii") as handle:
-        for line in handle:
+        for lineno, line in enumerate(handle, 1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
             parts = line.split()
-            src, dst = int(parts[0]), int(parts[1])
-            weight = float(parts[2]) if len(parts) > 2 else 1.0
+            try:
+                src, dst = int(parts[0]), int(parts[1])
+                weight = float(parts[2]) if len(parts) > 2 else 1.0
+            except (IndexError, ValueError) as exc:
+                raise ValueError(
+                    f"{path}:{lineno}: malformed edge {line!r}, expected "
+                    f"'src dst [weight]' ({exc})"
+                ) from None
             edges.append((src, dst, weight))
             max_id = max(max_id, src, dst)
     n = num_vertices or (max_id + 1)

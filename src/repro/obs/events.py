@@ -32,12 +32,6 @@ name                  kind     cat         meaning
                                            Eq. 11 inputs and the planned
                                            mode
 ``mode_switch``       instant  engine      a switch superstep (Fig. 6) ran
-``process_busy``      span     parallel    one pool process computing its
-                                           shard of a round (wall clock)
-``process_barrier``   span     parallel    that process waiting for the
-                                           round's slowest sibling
-``merge``             span     parallel    the coordinator folding the
-                                           round's shards (wall clock)
 ====================  =======  ==========  =================================
 """
 
@@ -56,7 +50,6 @@ __all__ = [
     "CAT_DISK",
     "CAT_NET",
     "CAT_SWITCH",
-    "CAT_PARALLEL",
     "PHASE_NAMES",
 ]
 
@@ -71,7 +64,6 @@ CAT_WORKER = "worker"
 CAT_DISK = "disk"
 CAT_NET = "net"
 CAT_SWITCH = "switch"
-CAT_PARALLEL = "parallel"
 
 #: the per-superstep phases, in execution order (Section 5.2's
 #: decoupling: input mechanism, then update, then output mechanism).

@@ -1,17 +1,15 @@
 """Chaos harness: multi-fault schedules must not change one byte.
 
 The acceptance matrix for the resilience stack: a schedule that mixes a
-straggler, a crash, a corrupted snapshot, and a real SIGKILL (under
-``parallelism > 1``) must leave final values identical to the fault-free
-run and keep ``JobMetrics.to_dict()`` byte-identical across the
-batched/vectorized executors and parallelism ∈ {1, 2} — the same
+straggler, two crashes, and a corrupted snapshot must leave final
+values identical to the fault-free run and keep ``JobMetrics.to_dict()``
+byte-identical across the batched/vectorized executors — the same
 equivalence contract the fault-free suite enforces, now under fire.
 Seeded probabilistic chaos sweeps extend the guarantee to schedules
 nobody hand-picked.
 """
 
 import json
-import multiprocessing
 
 import pytest
 
@@ -33,14 +31,14 @@ def _dump(result):
     return json.dumps(payload, sort_keys=True)
 
 
-#: straggler, then a crash, then a kill that lands together with a
+#: straggler, then a crash, then a second crash that lands together with a
 #: corrupted snapshot — the corruption invalidates the checkpoint taken
 #: at superstep 4, so the second recovery must fall back to superstep 2.
 ACCEPTANCE_SCHEDULE = FaultSchedule(faults=(
     FaultPlan(worker=2, superstep=2, kind="straggler", factor=3.0),
     FaultPlan(worker=1, superstep=3, kind="crash"),
     FaultPlan(worker=0, superstep=5, kind="checkpoint_corrupt"),
-    FaultPlan(worker=0, superstep=5, kind="kill"),
+    FaultPlan(worker=0, superstep=5, kind="crash"),
 ))
 
 
@@ -53,19 +51,16 @@ class TestAcceptanceMatrix:
         )
 
     @pytest.mark.parametrize("executor", ["batched", "vectorized"])
-    @pytest.mark.parametrize("parallelism", [1, 2])
-    def test_three_fault_schedule_with_sigkill(
-        self, tmp_path, executor, parallelism
-    ):
+    def test_three_fault_schedule(self, tmp_path, executor):
         clean = run_job(_graph(), PageRank(), self._cfg())
         chaotic = run_job(_graph(), PageRank(), self._cfg(
-            executor=executor, parallelism=parallelism,
+            executor=executor,
             fault=ACCEPTANCE_SCHEDULE, checkpoint_dir=str(tmp_path),
         ))
         assert chaotic.values == clean.values
         assert chaotic.metrics.restarts == 2
         assert [f["kind"] for f in chaotic.metrics.faults] == [
-            "straggler", "crash", "checkpoint_corrupt", "kill",
+            "straggler", "crash", "checkpoint_corrupt", "crash",
         ]
         # first recovery restores the snapshot taken at superstep 2;
         # the corruption at superstep 5 invalidates the re-taken
@@ -74,19 +69,6 @@ class TestAcceptanceMatrix:
             (r["policy"], r["resume_after"])
             for r in chaotic.metrics.recoveries
         ] == [("checkpoint", 2), ("checkpoint", 2)]
-        assert multiprocessing.active_children() == []
-
-    @pytest.mark.parametrize("executor", ["batched", "vectorized"])
-    def test_byte_identical_across_parallelism(self, tmp_path, executor):
-        dumps = []
-        for parallelism in (1, 2):
-            result = run_job(_graph(), PageRank(), self._cfg(
-                executor=executor, parallelism=parallelism,
-                fault=ACCEPTANCE_SCHEDULE,
-                checkpoint_dir=str(tmp_path / f"p{parallelism}"),
-            ))
-            dumps.append(_dump(result))
-        assert dumps[0] == dumps[1]
 
     def test_byte_identical_across_executors(self, tmp_path):
         dumps = []
@@ -169,7 +151,6 @@ class TestRecoveryPolicy:
                 max_restarts=1,
                 fault=FaultPlan(worker=1, superstep=3, repeat=3),
             ))
-        assert multiprocessing.active_children() == []
 
     def test_max_restarts_zero_fails_fast(self):
         with pytest.raises(WorkerFailure):
@@ -199,14 +180,14 @@ class TestRecoveryPolicy:
 
     def test_recovery_records_are_structured(self):
         result = run_job(_graph(), PageRank(), self._cfg(
-            fault=FaultPlan(worker=1, superstep=4, kind="kill"),
+            fault=FaultPlan(worker=1, superstep=4, kind="crash"),
             checkpoint_interval=2,
         ))
         (record,) = result.metrics.recoveries
         assert record["restart"] == 1
         assert record["superstep"] == 4
         assert record["worker"] == 1
-        assert record["kind"] == "kill"
+        assert record["kind"] == "crash"
         assert record["policy"] == "checkpoint"
         assert record["resume_after"] == 2
         assert record["rework_supersteps"] == 1

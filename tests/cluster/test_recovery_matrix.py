@@ -8,8 +8,6 @@ behind the point tests: no (fault position, interval) combination may
 resume from a snapshot inconsistently.
 """
 
-import json
-
 import pytest
 
 from repro.algorithms.pagerank import PageRank
@@ -21,12 +19,6 @@ from repro.datasets.generators import random_graph
 
 def _graph():
     return random_graph(300, 6, seed=42)
-
-
-def _dump(result):
-    payload = result.metrics.to_dict()
-    payload.pop("fallback", None)
-    return json.dumps(payload, sort_keys=True)
 
 
 class TestCrashEverywhere:
@@ -92,19 +84,3 @@ class TestCrashOnSwitch:
         assert result.values == clean.values
         assert result.metrics.restarts == 1
         assert result.metrics.mode_trace == clean.metrics.mode_trace
-
-    @pytest.mark.parametrize("interval", [1, 3])
-    def test_crash_near_switch_parallel(self, clean, interval):
-        superstep = self._switch_superstep(clean)
-        sequential = run_job(_graph(), SSSP(source=0), JobConfig(
-            **self.CFG,
-            fault=FaultPlan(worker=1, superstep=superstep),
-            checkpoint_interval=interval,
-        ))
-        parallel = run_job(_graph(), SSSP(source=0), JobConfig(
-            **self.CFG, parallelism=2,
-            fault=FaultPlan(worker=1, superstep=superstep),
-            checkpoint_interval=interval,
-        ))
-        assert _dump(parallel) == _dump(sequential)
-        assert parallel.values == clean.values

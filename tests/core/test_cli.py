@@ -198,7 +198,7 @@ class TestFaultPlanSpec:
         assert (plan.kind, plan.superstep, plan.worker) == ("crash", 3, 1)
 
     def test_worker_defaults_to_zero(self):
-        (plan,) = parse_fault_plan("kill@2")
+        (plan,) = parse_fault_plan("crash@2")
         assert plan.worker == 0
 
     def test_straggler_factor_and_repeat(self):
@@ -219,6 +219,12 @@ class TestFaultPlanSpec:
     def test_bad_specs_rejected(self, bad):
         with pytest.raises(argparse.ArgumentTypeError):
             parse_fault_plan(bad)
+
+    def test_kill_kind_rejected_as_value_error(self):
+        with pytest.raises(ValueError, match="'kill'") as info:
+            parse_fault_plan("kill@2")
+        kinds = ("crash", "straggler", "ckpt-write", "ckpt-corrupt")
+        assert all(repr(kind) in str(info.value) for kind in kinds)
 
 
 class TestResilienceFlags:

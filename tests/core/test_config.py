@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.algorithms.pagerank import PageRank
 from repro.core.config import (
     AMAZON_CLUSTER,
     CpuModel,
@@ -9,6 +10,8 @@ from repro.core.config import (
     LOCAL_CLUSTER,
     MODES,
 )
+from repro.core.engine import run_job
+from repro.datasets.generators import random_graph
 
 
 class TestJobConfig:
@@ -56,6 +59,22 @@ class TestJobConfig:
         assert cfg.lru_capacity() == 123
         cfg = cfg.but(lru_capacity_vertices=7)
         assert cfg.lru_capacity() == 7
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("buffer", [0, -3])
+    def test_message_buffer_below_one_rejected(self, mode, buffer):
+        with pytest.raises(
+            ValueError, match=rf"message_buffer_per_worker.*got {buffer}$"
+        ):
+            JobConfig(mode=mode, message_buffer_per_worker=buffer)
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_message_buffer_of_one_runs(self, mode):
+        result = run_job(
+            random_graph(30, 3, seed=4), PageRank(supersteps=3),
+            JobConfig(mode=mode, num_workers=3, message_buffer_per_worker=1),
+        )
+        assert result.metrics.num_supersteps == 3
 
     def test_but_replaces_fields(self):
         cfg = JobConfig(mode="push")

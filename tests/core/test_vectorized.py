@@ -10,6 +10,8 @@ Tests that *require* dense execution call ``pytest.importorskip`` so the
 NumPy-less CI leg still runs the fallback half of this file.
 """
 
+import json
+
 import pytest
 
 from repro.algorithms.lpa import LPA
@@ -89,6 +91,31 @@ class TestFallbackMatrix:
         rt = _runtime(PageRank(), executor="batched")
         assert rt.active_executor == "batched"
         assert rt.executor_fallback is None
+
+
+class TestFallbackSurface:
+    """The requested-vs-active record in JobMetrics and its JSON."""
+
+    def _metrics(self, program, executor):
+        return run_job(random_graph(40, 3, seed=1), program, JobConfig(
+            mode="push", num_workers=2, max_supersteps=3, executor=executor,
+        )).metrics
+
+    def test_absent_without_downgrade(self):
+        metrics = self._metrics(PageRank(), "batched")
+        assert metrics.fallback is None
+        assert "fallback" not in metrics.to_dict()
+
+    def test_downgrade_recorded_and_round_trips_through_json(self):
+        metrics = self._metrics(LPA(), "vectorized")
+        fb = metrics.fallback
+        assert fb == {
+            "requested_executor": "vectorized",
+            "active_executor": "batched",
+            "reason": fb["reason"],
+        }
+        assert fb["reason"]
+        assert json.loads(metrics.to_json())["fallback"] == fb
 
 
 class TestCSRView:

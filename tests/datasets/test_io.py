@@ -50,3 +50,18 @@ class TestEdgeListIO:
         write_edge_list(g, path)
         back = read_edge_list(path)
         assert sorted(back.edges()) == sorted(g.edges())
+
+    @pytest.mark.parametrize("row, detail", [
+        ("3", "index"),
+        ("0 x", "invalid literal for int"),
+        ("0 1 heavy", "could not convert string to float"),
+    ])
+    def test_malformed_row_names_file_and_line(self, tmp_path, row, detail):
+        path = tmp_path / "bad.txt"
+        path.write_text(f"# header\n0 1\n\n{row}\n2 3\n")
+        with pytest.raises(ValueError) as info:
+            read_edge_list(path)
+        message = str(info.value)
+        assert message.startswith(f"{path}:4: ")
+        assert repr(row) in message
+        assert detail in message
